@@ -23,8 +23,6 @@
 //!   bundles keys for a whole cluster and dispatches on a
 //!   [`provider::CryptoMode`] (None / MACs / digital signatures), mirroring
 //!   the configurations compared in the paper's Figure 8.
-//! * [`cost`] — calibrated cost model (ns per operation) consumed by the
-//!   deterministic simulator.
 //!
 //! Everything is implemented without external cryptography dependencies and
 //! validated against official test vectors (NIST CAVP, RFC 4231, RFC 4493,
@@ -42,7 +40,6 @@
 
 pub mod aes;
 pub mod cmac;
-pub mod cost;
 pub mod digest;
 pub mod ed25519;
 pub mod hmac;

@@ -10,7 +10,7 @@ use crate::runtime::encode_frame;
 use poe_consensus::SupportMode;
 use poe_kernel::codec::{decode_envelope_shared, ScratchPool};
 use poe_kernel::ids::{ClientId, NodeId, ReplicaId};
-use poe_kernel::messages::{ProtocolMsg, ReplyKind};
+use poe_kernel::messages::ProtocolMsg;
 use poe_kernel::request::ClientRequest;
 use poe_kernel::wire::WireBytes;
 use poe_workload::{YcsbConfig, YcsbWorkload};
@@ -88,7 +88,7 @@ impl Storm {
             };
             let Ok(env) = decode_envelope_shared(&frame) else { continue };
             if let ProtocolMsg::Reply(r) = env.msg {
-                if r.kind == ReplyKind::PoeInform && r.req_id == req.req_id {
+                if r.req_id == req.req_id {
                     replicas.insert(r.replica);
                 }
             }

@@ -1,12 +1,12 @@
 //! The sans-I/O automaton model.
 //!
-//! Every protocol (PoE and the four baselines) is implemented as a
-//! deterministic state machine: it consumes [`Event`]s and appends
-//! [`Action`]s to an [`Outbox`]. Two runtimes interpret the same
+//! PoE replicas and clients are implemented as deterministic state
+//! machines: each consumes [`Event`]s and appends [`Action`]s to an
+//! [`Outbox`]. Two runtimes interpret the same
 //! automatons:
 //!
-//! * `poe-sim` — a discrete-event simulator with virtual time, cost
-//!   models, and failure injection (used for all the paper's figures);
+//! * `poe-sim` — a discrete-event simulator with virtual time, a
+//!   network delay model, and failure injection (used for all the paper's figures);
 //! * `poe-fabric` — a multi-threaded pipelined runtime on the wall clock
 //!   (the ResilientDB-style deployment of paper §III).
 //!
@@ -250,7 +250,7 @@ pub trait ReplicaAutomaton: Send {
     /// Handles one event, appending resulting actions to `out`.
     fn on_event(&mut self, now: Time, event: Event, out: &mut Outbox);
 
-    /// The replica's current view (HotStuff reports its round).
+    /// The replica's current view.
     fn current_view(&self) -> View;
 
     /// The next sequence number this replica has not yet executed

@@ -22,15 +22,14 @@
 //! frame carrying trailing garbage after a well-formed message is
 //! rejected, not silently accepted.
 //!
-//! Signed view-change payloads (`PoeVcRequest`, `PbftViewChange`) expose
-//! `*_signing_bytes` helpers producing the exact byte string covered by
-//! their embedded Ed25519 signatures.
+//! The signed view-change payload ([`PoeVcRequest`]) exposes
+//! [`poe_vc_signing_bytes`], the exact byte string covered by its
+//! embedded Ed25519 signature.
 
 use crate::ids::{ClientId, NodeId, ReplicaId, SeqNum, View};
 use crate::messages::{
-    ClientReply, Envelope, ExecEntry, HsBlock, HsQuorumCert, PbftPreparedEntry, PbftViewChange,
-    PoeVcRequest, ProtocolMsg, RepairManifest, ReplyKind, StateChunkPayload, StateRequestKind,
-    ZyzCommitCert,
+    ClientReply, Envelope, ExecEntry, PoeVcRequest, ProtocolMsg, RepairManifest, StateChunkPayload,
+    StateRequestKind,
 };
 use crate::request::{Batch, ClientRequest};
 use crate::wire::WireBytes;
@@ -195,7 +194,7 @@ fn put_batch<S: Sink>(out: &mut S, batch: &Batch) {
 
 /// Streams a share into the sink via the crypto crate's (single,
 /// authoritative) encoder — no intermediate buffer; this runs once per
-/// SUPPORT / SIGN-SHARE / vote on the hot path.
+/// SUPPORT on the hot path.
 fn put_share<S: Sink>(out: &mut S, share: &SignatureShare) {
     share.encode(out);
 }
@@ -247,73 +246,13 @@ fn put_vc_request<S: Sink>(out: &mut S, vc: &PoeVcRequest) {
     out.put(vc.signature.as_bytes());
 }
 
-fn put_pbft_prepared<S: Sink>(out: &mut S, p: &PbftPreparedEntry) {
-    put_view(out, p.view);
-    put_seq(out, p.seq);
-    put_digest(out, &p.digest);
-    put_batch(out, &p.batch);
-}
-
-fn put_pbft_view_change_body<S: Sink>(out: &mut S, vc: &PbftViewChange) {
-    out.put(&vc.from.0.to_le_bytes());
-    put_view(out, vc.new_view);
-    put_opt_seq(out, vc.stable_seq);
-    out.put(&(vc.prepared.len() as u32).to_le_bytes());
-    for p in &vc.prepared {
-        put_pbft_prepared(out, p);
-    }
-}
-
-fn put_pbft_view_change<S: Sink>(out: &mut S, vc: &PbftViewChange) {
-    put_pbft_view_change_body(out, vc);
-    out.put(vc.signature.as_bytes());
-}
-
-fn put_qc<S: Sink>(out: &mut S, qc: &HsQuorumCert) {
-    out.put(&qc.height.to_le_bytes());
-    put_digest(out, &qc.block);
-    put_cert(out, &qc.cert);
-}
-
-fn put_opt_qc<S: Sink>(out: &mut S, qc: &Option<HsQuorumCert>) {
-    match qc {
-        None => out.put_u8(0),
-        Some(q) => {
-            out.put_u8(1);
-            put_qc(out, q);
-        }
-    }
-}
-
-fn put_block<S: Sink>(out: &mut S, b: &HsBlock) {
-    out.put(&b.height.to_le_bytes());
-    put_digest(out, &b.parent);
-    put_opt_qc(out, &b.justify);
-    put_batch(out, &b.batch);
-}
-
 fn put_reply<S: Sink>(out: &mut S, r: &ClientReply) {
-    out.put_u8(match r.kind {
-        ReplyKind::PoeInform => 0,
-        ReplyKind::PbftReply => 1,
-        ReplyKind::ZyzSpecResponse => 2,
-        ReplyKind::ZyzLocalCommit => 3,
-        ReplyKind::SbftExecuteAck => 4,
-        ReplyKind::HsReply => 5,
-    });
     put_view(out, r.view);
     put_seq(out, r.seq);
     put_digest(out, &r.req_digest);
     out.put(&r.req_id.to_le_bytes());
     put_bytes(out, &r.result);
     out.put(&r.replica.0.to_le_bytes());
-    match &r.history {
-        None => out.put_u8(0),
-        Some(h) => {
-            out.put_u8(1);
-            put_digest(out, h);
-        }
-    }
 }
 
 /// Writes `msg` into `out`.
@@ -370,103 +309,6 @@ pub fn write_msg<S: Sink>(out: &mut S, msg: &ProtocolMsg) {
             for vc in requests {
                 put_vc_request(out, vc);
             }
-        }
-        ProtocolMsg::PbftPrePrepare { view, seq, batch } => {
-            out.put_u8(20);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_batch(out, batch);
-        }
-        ProtocolMsg::PbftPrepare { view, seq, digest } => {
-            out.put_u8(21);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_digest(out, digest);
-        }
-        ProtocolMsg::PbftCommit { view, seq, digest } => {
-            out.put_u8(22);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_digest(out, digest);
-        }
-        ProtocolMsg::PbftViewChangeMsg(vc) => {
-            out.put_u8(23);
-            put_pbft_view_change(out, vc);
-        }
-        ProtocolMsg::PbftNewView { new_view, view_changes, pre_prepares } => {
-            out.put_u8(24);
-            put_view(out, *new_view);
-            out.put(&(view_changes.len() as u32).to_le_bytes());
-            for vc in view_changes {
-                put_pbft_view_change(out, vc);
-            }
-            out.put(&(pre_prepares.len() as u32).to_le_bytes());
-            for (seq, batch) in pre_prepares {
-                put_seq(out, *seq);
-                put_batch(out, batch);
-            }
-        }
-        ProtocolMsg::ZyzOrderReq { view, seq, history, batch } => {
-            out.put_u8(30);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_digest(out, history);
-            put_batch(out, batch);
-        }
-        ProtocolMsg::ZyzCommit(cc) => {
-            out.put_u8(31);
-            put_view(out, cc.view);
-            put_seq(out, cc.seq);
-            put_digest(out, &cc.history);
-            out.put(&(cc.replicas.len() as u32).to_le_bytes());
-            for r in &cc.replicas {
-                out.put(&r.0.to_le_bytes());
-            }
-        }
-        ProtocolMsg::SbftPrePrepare { view, seq, batch } => {
-            out.put_u8(40);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_batch(out, batch);
-        }
-        ProtocolMsg::SbftSignShare { view, seq, share } => {
-            out.put_u8(41);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_share(out, share);
-        }
-        ProtocolMsg::SbftFullCommitProof { view, seq, cert } => {
-            out.put_u8(42);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_cert(out, cert);
-        }
-        ProtocolMsg::SbftSignState { view, seq, share } => {
-            out.put_u8(43);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_share(out, share);
-        }
-        ProtocolMsg::SbftExecuteAck { view, seq, cert } => {
-            out.put_u8(44);
-            put_view(out, *view);
-            put_seq(out, *seq);
-            put_cert(out, cert);
-        }
-        ProtocolMsg::HsProposal { block } => {
-            out.put_u8(50);
-            put_block(out, block);
-        }
-        ProtocolMsg::HsVote { height, block, share } => {
-            out.put_u8(51);
-            out.put(&height.to_le_bytes());
-            put_digest(out, block);
-            put_share(out, share);
-        }
-        ProtocolMsg::HsNewView { height, high_qc } => {
-            out.put_u8(52);
-            out.put(&height.to_le_bytes());
-            put_opt_qc(out, high_qc);
         }
         ProtocolMsg::Checkpoint { seq, state_digest } => {
             out.put_u8(60);
@@ -560,13 +402,6 @@ pub fn encode_frame(msg: &ProtocolMsg) -> WireBytes {
 pub fn poe_vc_signing_bytes(vc: &PoeVcRequest) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_vc_request_body(&mut out, vc);
-    out
-}
-
-/// The byte string a PBFT VIEW-CHANGE signature covers.
-pub fn pbft_vc_signing_bytes(vc: &PbftViewChange) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    put_pbft_view_change_body(&mut out, vc);
     out
 }
 
@@ -752,75 +587,14 @@ fn get_vc_request(r: &mut Reader<'_>, ctx: &mut DecodeCtx<'_>) -> Option<PoeVcRe
     Some(PoeVcRequest { from, view, stable_seq, entries, signature })
 }
 
-fn get_pbft_prepared(r: &mut Reader<'_>, ctx: &mut DecodeCtx<'_>) -> Option<PbftPreparedEntry> {
-    Some(PbftPreparedEntry {
-        view: View(r.u64()?),
-        seq: SeqNum(r.u64()?),
-        digest: r.digest()?,
-        batch: get_batch(r, ctx)?,
-    })
-}
-
-fn get_pbft_view_change(r: &mut Reader<'_>, ctx: &mut DecodeCtx<'_>) -> Option<PbftViewChange> {
-    let from = ReplicaId(r.u32()?);
-    let new_view = View(r.u64()?);
-    let stable_seq = get_opt_seq(r)?;
-    let count = r.u32()? as usize;
-    if count > r.remainder() {
-        return None;
-    }
-    let mut prepared = Vec::with_capacity(count);
-    for _ in 0..count {
-        prepared.push(get_pbft_prepared(r, ctx)?);
-    }
-    let signature = r.signature()?;
-    Some(PbftViewChange { from, new_view, stable_seq, prepared, signature })
-}
-
-fn get_qc(r: &mut Reader<'_>) -> Option<HsQuorumCert> {
-    Some(HsQuorumCert { height: r.u64()?, block: r.digest()?, cert: get_cert(r)? })
-}
-
-fn get_opt_qc(r: &mut Reader<'_>) -> Option<Option<HsQuorumCert>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(get_qc(r)?)),
-        _ => None,
-    }
-}
-
-fn get_block(r: &mut Reader<'_>, ctx: &mut DecodeCtx<'_>) -> Option<Arc<HsBlock>> {
-    Some(Arc::new(HsBlock {
-        height: r.u64()?,
-        parent: r.digest()?,
-        justify: get_opt_qc(r)?,
-        batch: get_batch(r, ctx)?,
-    }))
-}
-
 fn get_reply(r: &mut Reader<'_>) -> Option<ClientReply> {
-    let kind = match r.u8()? {
-        0 => ReplyKind::PoeInform,
-        1 => ReplyKind::PbftReply,
-        2 => ReplyKind::ZyzSpecResponse,
-        3 => ReplyKind::ZyzLocalCommit,
-        4 => ReplyKind::SbftExecuteAck,
-        5 => ReplyKind::HsReply,
-        _ => return None,
-    };
     Some(ClientReply {
-        kind,
         view: View(r.u64()?),
         seq: SeqNum(r.u64()?),
         req_digest: r.digest()?,
         req_id: r.u64()?,
         result: r.wire_bytes()?,
         replica: ReplicaId(r.u32()?),
-        history: match r.u8()? {
-            0 => None,
-            1 => Some(r.digest()?),
-            _ => return None,
-        },
     })
 }
 
@@ -898,92 +672,6 @@ fn decode_inner(r: &mut Reader<'_>, ctx: &mut DecodeCtx<'_>) -> Option<ProtocolM
             }
             ProtocolMsg::PoeNvPropose { new_view, requests }
         }
-        20 => ProtocolMsg::PbftPrePrepare {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            batch: get_batch(r, ctx)?,
-        },
-        21 => ProtocolMsg::PbftPrepare {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            digest: r.digest()?,
-        },
-        22 => ProtocolMsg::PbftCommit {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            digest: r.digest()?,
-        },
-        23 => ProtocolMsg::PbftViewChangeMsg(get_pbft_view_change(r, ctx)?),
-        24 => {
-            let new_view = View(r.u64()?);
-            let vc_count = r.u32()? as usize;
-            if vc_count > r.remainder() {
-                return None;
-            }
-            let mut view_changes = Vec::with_capacity(vc_count);
-            for _ in 0..vc_count {
-                view_changes.push(get_pbft_view_change(r, ctx)?);
-            }
-            let pp_count = r.u32()? as usize;
-            if pp_count > r.remainder() {
-                return None;
-            }
-            let mut pre_prepares = Vec::with_capacity(pp_count);
-            for _ in 0..pp_count {
-                let seq = SeqNum(r.u64()?);
-                let batch = get_batch(r, ctx)?;
-                pre_prepares.push((seq, batch));
-            }
-            ProtocolMsg::PbftNewView { new_view, view_changes, pre_prepares }
-        }
-        30 => ProtocolMsg::ZyzOrderReq {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            history: r.digest()?,
-            batch: get_batch(r, ctx)?,
-        },
-        31 => {
-            let view = View(r.u64()?);
-            let seq = SeqNum(r.u64()?);
-            let history = r.digest()?;
-            let count = r.u32()? as usize;
-            if count > r.remainder() {
-                return None;
-            }
-            let mut replicas = Vec::with_capacity(count);
-            for _ in 0..count {
-                replicas.push(ReplicaId(r.u32()?));
-            }
-            ProtocolMsg::ZyzCommit(ZyzCommitCert { view, seq, history, replicas })
-        }
-        40 => ProtocolMsg::SbftPrePrepare {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            batch: get_batch(r, ctx)?,
-        },
-        41 => ProtocolMsg::SbftSignShare {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            share: get_share(r)?,
-        },
-        42 => ProtocolMsg::SbftFullCommitProof {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            cert: get_cert(r)?,
-        },
-        43 => ProtocolMsg::SbftSignState {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            share: get_share(r)?,
-        },
-        44 => ProtocolMsg::SbftExecuteAck {
-            view: View(r.u64()?),
-            seq: SeqNum(r.u64()?),
-            cert: get_cert(r)?,
-        },
-        50 => ProtocolMsg::HsProposal { block: get_block(r, ctx)? },
-        51 => ProtocolMsg::HsVote { height: r.u64()?, block: r.digest()?, share: get_share(r)? },
-        52 => ProtocolMsg::HsNewView { height: r.u64()?, high_qc: get_opt_qc(r)? },
         60 => ProtocolMsg::Checkpoint { seq: SeqNum(r.u64()?), state_digest: r.digest()? },
         61 => ProtocolMsg::StateRequest(match r.u8()? {
             0 => StateRequestKind::Manifest,
@@ -1297,73 +985,24 @@ mod tests {
         let share = km().replica(1).ts_share(b"m");
         let d = Digest::of(b"d");
         let reply = ClientReply {
-            kind: ReplyKind::ZyzSpecResponse,
             view: View(1),
             seq: SeqNum(2),
             req_digest: d,
             req_id: 9,
             result: vec![4u8, 5].into(),
             replica: ReplicaId(3),
-            history: Some(Digest::of(b"h")),
         };
-        let pbft_vc = PbftViewChange {
-            from: ReplicaId(1),
-            new_view: View(4),
-            stable_seq: None,
-            prepared: vec![PbftPreparedEntry {
-                view: View(3),
-                seq: SeqNum(12),
-                digest: d,
-                batch: b.clone(),
-            }],
-            signature: km().replica(1).sign(b"pbft-vc"),
-        };
-        let block = Arc::new(HsBlock {
-            height: 5,
-            parent: d,
-            justify: Some(HsQuorumCert { height: 4, block: d, cert: cert.clone() }),
-            batch: b.clone(),
-        });
         vec![
             ProtocolMsg::Request(sample_request(true)),
             ProtocolMsg::RequestBroadcast(sample_request(false)),
             ProtocolMsg::Forward(sample_request(true)),
             ProtocolMsg::Reply(reply),
-            ProtocolMsg::PoePropose { view: View(1), seq: SeqNum(2), batch: b.clone() },
-            ProtocolMsg::PoeSupport { view: View(1), seq: SeqNum(2), share: share.clone() },
+            ProtocolMsg::PoePropose { view: View(1), seq: SeqNum(2), batch: b },
+            ProtocolMsg::PoeSupport { view: View(1), seq: SeqNum(2), share },
             ProtocolMsg::PoeSupportMac { view: View(1), seq: SeqNum(2), digest: d },
-            ProtocolMsg::PoeCertify { view: View(1), seq: SeqNum(2), cert: cert.clone() },
+            ProtocolMsg::PoeCertify { view: View(1), seq: SeqNum(2), cert },
             ProtocolMsg::PoeVcRequest(sample_vc()),
             ProtocolMsg::PoeNvPropose { new_view: View(4), requests: vec![sample_vc()] },
-            ProtocolMsg::PbftPrePrepare { view: View(1), seq: SeqNum(2), batch: b.clone() },
-            ProtocolMsg::PbftPrepare { view: View(1), seq: SeqNum(2), digest: d },
-            ProtocolMsg::PbftCommit { view: View(1), seq: SeqNum(2), digest: d },
-            ProtocolMsg::PbftViewChangeMsg(pbft_vc.clone()),
-            ProtocolMsg::PbftNewView {
-                new_view: View(4),
-                view_changes: vec![pbft_vc],
-                pre_prepares: vec![(SeqNum(13), b.clone())],
-            },
-            ProtocolMsg::ZyzOrderReq {
-                view: View(1),
-                seq: SeqNum(2),
-                history: d,
-                batch: b.clone(),
-            },
-            ProtocolMsg::ZyzCommit(ZyzCommitCert {
-                view: View(1),
-                seq: SeqNum(2),
-                history: d,
-                replicas: vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)],
-            }),
-            ProtocolMsg::SbftPrePrepare { view: View(1), seq: SeqNum(2), batch: b.clone() },
-            ProtocolMsg::SbftSignShare { view: View(1), seq: SeqNum(2), share: share.clone() },
-            ProtocolMsg::SbftFullCommitProof { view: View(1), seq: SeqNum(2), cert: cert.clone() },
-            ProtocolMsg::SbftSignState { view: View(1), seq: SeqNum(2), share: share.clone() },
-            ProtocolMsg::SbftExecuteAck { view: View(1), seq: SeqNum(2), cert: cert.clone() },
-            ProtocolMsg::HsProposal { block },
-            ProtocolMsg::HsVote { height: 5, block: d, share },
-            ProtocolMsg::HsNewView { height: 5, high_qc: None },
             ProtocolMsg::Checkpoint { seq: SeqNum(100), state_digest: d },
             ProtocolMsg::StateRequest(StateRequestKind::Manifest),
             ProtocolMsg::StateRequest(StateRequestKind::Chunk { stable: SeqNum(99), chunk: 3 }),
@@ -1566,10 +1205,75 @@ mod tests {
         assert_eq!((hits, misses), (1, 1));
     }
 
+    /// Well-formed frames of message layouts that are no longer part of
+    /// the wire format: one for every tag of the retired baseline-protocol
+    /// messages (20–24, 30–31, 40–44, 50–52), and an INFORM (tag 3) in the
+    /// old layout that carried a reply-kind byte and a history-digest
+    /// option.
+    fn retired_frames() -> Vec<(u8, Vec<u8>)> {
+        let put = |write: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            write(&mut out);
+            out
+        };
+        let le = |x: u64| x.to_le_bytes();
+        let view_seq = [le(1), le(2)].concat();
+        let d = Digest::of(b"d").as_bytes().to_vec();
+        let batch = put(&|o| put_batch(o, &sample_batch()));
+        let share = put(&|o| put_share(o, &km().replica(1).ts_share(b"m")));
+        let cert = put(&|o| put_cert(o, &sample_cert()));
+        let sig = km().replica(1).sign(b"vc").as_bytes().to_vec();
+        let result = put(&|o| put_bytes(o, &[4, 5]));
+        let (zero, one) = (&0u32.to_le_bytes(), &1u32.to_le_bytes());
+        let frame = |tag: u8, parts: &[&[u8]]| (tag, [&[tag], parts.concat().as_slice()].concat());
+        vec![
+            // INFORM: kind, view, seq, request digest, req id, result, replica, history option.
+            frame(3, &[&[0], &view_seq, &d, &le(9), &result, &3u32.to_le_bytes(), &[0]]),
+            // PBFT PRE-PREPARE, PREPARE, COMMIT, VIEW-CHANGE, NEW-VIEW.
+            frame(20, &[&view_seq, &batch]),
+            frame(21, &[&view_seq, &d]),
+            frame(22, &[&view_seq, &d]),
+            frame(23, &[one, &le(4), &[0], zero, &sig]),
+            frame(24, &[&le(4), zero, one, &le(13), &batch]),
+            // ORDER-REQ and the client's commit certificate.
+            frame(30, &[&view_seq, &d, &batch]),
+            frame(31, &[&view_seq, &d, one, zero]),
+            // SBFT PRE-PREPARE, SIGN-SHARE, FULL-COMMIT-PROOF, SIGN-STATE, EXECUTE-ACK.
+            frame(40, &[&view_seq, &batch]),
+            frame(41, &[&view_seq, &share]),
+            frame(42, &[&view_seq, &cert]),
+            frame(43, &[&view_seq, &share]),
+            frame(44, &[&view_seq, &cert]),
+            // HotStuff PROPOSAL (with a justify QC), VOTE, NEW-VIEW.
+            frame(50, &[&le(5), &d, &[1], &le(4), &d, &cert, &batch]),
+            frame(51, &[&le(5), &d, &share]),
+            frame(52, &[&le(5), &[0]]),
+        ]
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert!(decode_msg(&[200]).is_err());
         assert!(decode_msg(&[]).is_err());
+        let mut pool = BatchPool::new();
+        for (tag, bytes) in retired_frames() {
+            assert!(decode_msg(&bytes).is_err(), "tag {tag} accepted");
+            let frame = WireBytes::copy_from(&bytes);
+            assert!(decode_msg_shared(&frame).is_err(), "tag {tag} accepted (shared mode)");
+            assert!(
+                decode_msg_pooled(&frame, &mut pool).is_err(),
+                "tag {tag} accepted (pooled mode)"
+            );
+            let mut env = Vec::new();
+            write_envelope_parts(&mut env, NodeId::Replica(ReplicaId(1)), &AuthTag::None, &bytes);
+            assert!(decode_envelope(&env).is_err(), "tag {tag} accepted (envelope)");
+            let env = WireBytes::from(env);
+            assert!(decode_envelope_shared(&env).is_err(), "tag {tag} accepted (shared envelope)");
+            assert!(
+                decode_envelope_pooled(&env, &mut pool).is_err(),
+                "tag {tag} accepted (pooled envelope)"
+            );
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl ClusterConfig {
         self.n - self.f
     }
 
-    /// The `f + 1` quorum (e.g. view-change join, PBFT client replies).
+    /// The `f + 1` quorum (e.g. view-change join).
     pub fn f_plus_one(&self) -> usize {
         self.f + 1
     }

@@ -1,16 +1,16 @@
 //! # poe-kernel
 //!
-//! The consensus kernel shared by the Proof-of-Execution protocol
-//! (`poe-consensus`) and the baseline protocols (`poe-baselines`). It
-//! contains everything that is protocol-independent:
+//! The consensus kernel under the Proof-of-Execution protocol
+//! (`poe-consensus`): everything the protocol automaton, its runtimes
+//! and its clients share:
 //!
 //! * [`ids`] — replica/client/node identifiers, views, sequence numbers.
 //! * [`time`] — virtual time and durations (nanosecond granularity).
 //! * [`config`] — cluster configuration (`n`, `f`, batch size, timeouts,
 //!   watermarks, crypto mode).
 //! * [`request`] — client requests, transactions-as-bytes, and batches.
-//! * [`messages`] — the full message vocabulary of all five protocols
-//!   (PoE, PBFT, Zyzzyva, SBFT, HotStuff) plus checkpointing.
+//! * [`messages`] — the PoE message vocabulary plus checkpointing and
+//!   state transfer.
 //! * [`codec`] — a hand-written, dependency-free binary wire format.
 //! * [`quorum`] — distinct-sender vote counting and matching-value quorums.
 //! * [`watermark`] — the out-of-order sequence window (PBFT-style

@@ -1,9 +1,8 @@
-//! The message vocabulary of all five protocols.
+//! The PoE message vocabulary.
 //!
-//! One flat [`ProtocolMsg`] enum carries every message of PoE, PBFT,
-//! Zyzzyva, SBFT, and HotStuff, plus the shared checkpoint protocol and
-//! client traffic. A single enum keeps the network substrate, codec, and
-//! simulator protocol-agnostic.
+//! One flat [`ProtocolMsg`] enum carries every message of PoE, plus the
+//! checkpoint protocol, state transfer, and client traffic. A single enum
+//! keeps the network substrate, codec, and simulator message-agnostic.
 //!
 //! Message names follow the paper: PoE's normal case is
 //! PROPOSE → SUPPORT → CERTIFY → INFORM (Figure 3); its view change is
@@ -56,108 +55,10 @@ pub struct PoeVcRequest {
     pub signature: Signature,
 }
 
-/// A prepared-batch proof inside a PBFT VIEW-CHANGE message.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PbftPreparedEntry {
-    /// View in which the batch prepared.
-    pub view: View,
-    /// Sequence number.
-    pub seq: SeqNum,
-    /// Batch digest.
-    pub digest: Digest,
-    /// The batch (real PBFT fetches bodies separately; we inline them).
-    pub batch: Arc<Batch>,
-}
-
-/// PBFT VIEW-CHANGE message (signed, forwardable).
-#[derive(Clone, PartialEq, Debug)]
-pub struct PbftViewChange {
-    /// The requesting replica.
-    pub from: ReplicaId,
-    /// The view being entered.
-    pub new_view: View,
-    /// Last stable checkpoint sequence.
-    pub stable_seq: Option<SeqNum>,
-    /// Batches prepared above the stable checkpoint.
-    pub prepared: Vec<PbftPreparedEntry>,
-    /// Ed25519 signature over the fields above.
-    pub signature: Signature,
-}
-
-/// Zyzzyva commit certificate: `2f+1` matching speculative responses
-/// collected by the client.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ZyzCommitCert {
-    /// View of the speculative responses.
-    pub view: View,
-    /// Sequence number being committed.
-    pub seq: SeqNum,
-    /// History digest the responses agreed on.
-    pub history: Digest,
-    /// The `2f+1` replicas whose responses matched.
-    pub replicas: Vec<ReplicaId>,
-}
-
-/// A HotStuff block (chained variant): one block per consensus round.
-#[derive(Clone, PartialEq, Debug)]
-pub struct HsBlock {
-    /// Round/height of the block.
-    pub height: u64,
-    /// Digest of the parent block.
-    pub parent: Digest,
-    /// Quorum certificate justifying the parent (None only for genesis).
-    pub justify: Option<HsQuorumCert>,
-    /// The proposed batch.
-    pub batch: Arc<Batch>,
-}
-
-impl HsBlock {
-    /// Digest identifying this block.
-    pub fn digest(&self) -> Digest {
-        let justify_digest = self.justify.as_ref().map(|qc| qc.block).unwrap_or(Digest::EMPTY);
-        poe_crypto::digest_concat(&[
-            &self.height.to_le_bytes(),
-            self.parent.as_bytes(),
-            justify_digest.as_bytes(),
-            self.batch.digest.as_bytes(),
-        ])
-    }
-}
-
-/// A HotStuff quorum certificate over a block.
-#[derive(Clone, PartialEq, Debug)]
-pub struct HsQuorumCert {
-    /// Height of the certified block.
-    pub height: u64,
-    /// Digest of the certified block.
-    pub block: Digest,
-    /// Aggregated threshold certificate from `n - f` votes.
-    pub cert: ThresholdCert,
-}
-
-/// Which protocol/phase a client reply belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplyKind {
-    /// PoE INFORM (Figure 3 Line 23).
-    PoeInform,
-    /// PBFT REPLY after commit.
-    PbftReply,
-    /// Zyzzyva speculative response (fast path).
-    ZyzSpecResponse,
-    /// Zyzzyva local-commit (after the client distributed a commit cert).
-    ZyzLocalCommit,
-    /// SBFT execute-ack relayed by the executor.
-    SbftExecuteAck,
-    /// HotStuff reply after a block becomes committed.
-    HsReply,
-}
-
 /// A reply sent by a replica to a client.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ClientReply {
-    /// Reply kind (protocol/phase).
-    pub kind: ReplyKind,
-    /// View (or HotStuff height) in which the request executed.
+    /// View in which the request executed.
     pub view: View,
     /// Sequence number under which the request's batch executed.
     pub seq: SeqNum,
@@ -165,14 +66,11 @@ pub struct ClientReply {
     pub req_digest: Digest,
     /// Client-local request id (for matching).
     pub req_id: u64,
-    /// Execution result bytes (empty when not executed yet, e.g. SBFT
-    /// collector acks). A shared view: every replica's INFORM for the
-    /// same execution clones the view, not the bytes.
+    /// Execution result bytes. A shared view: every replica's INFORM for
+    /// the same execution clones the view, not the bytes.
     pub result: WireBytes,
     /// The replying replica.
     pub replica: ReplicaId,
-    /// Zyzzyva: the replica's history digest up to and including `seq`.
-    pub history: Option<Digest>,
 }
 
 /// Description of a responder's latest stable checkpoint, sent in reply
@@ -303,133 +201,6 @@ pub enum ProtocolMsg {
         requests: Vec<PoeVcRequest>,
     },
 
-    // ---------------------------------------------------------------- PBFT
-    /// Primary → all: PRE-PREPARE.
-    PbftPrePrepare {
-        /// Current view.
-        view: View,
-        /// Assigned sequence number.
-        seq: SeqNum,
-        /// Proposed batch.
-        batch: Arc<Batch>,
-    },
-    /// All → all: PREPARE.
-    PbftPrepare {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Batch digest.
-        digest: Digest,
-    },
-    /// All → all: COMMIT.
-    PbftCommit {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Batch digest.
-        digest: Digest,
-    },
-    /// Replica → all: VIEW-CHANGE.
-    PbftViewChangeMsg(PbftViewChange),
-    /// New primary → all: NEW-VIEW.
-    PbftNewView {
-        /// The view being entered.
-        new_view: View,
-        /// The `2f+1` VIEW-CHANGE messages justifying it.
-        view_changes: Vec<PbftViewChange>,
-        /// Re-issued PRE-PREPAREs for in-flight sequence numbers.
-        pre_prepares: Vec<(SeqNum, Arc<Batch>)>,
-    },
-
-    // ------------------------------------------------------------- Zyzzyva
-    /// Primary → all: ORDER-REQ with history digest.
-    ZyzOrderReq {
-        /// Current view.
-        view: View,
-        /// Assigned sequence number.
-        seq: SeqNum,
-        /// Digest chain over all previous orderings.
-        history: Digest,
-        /// Ordered batch.
-        batch: Arc<Batch>,
-    },
-    /// Client → all replicas: a commit certificate from `2f+1` matching
-    /// speculative responses (slow path).
-    ZyzCommit(ZyzCommitCert),
-
-    // ---------------------------------------------------------------- SBFT
-    /// Primary → all: PRE-PREPARE.
-    SbftPrePrepare {
-        /// Current view.
-        view: View,
-        /// Assigned sequence number.
-        seq: SeqNum,
-        /// Proposed batch.
-        batch: Arc<Batch>,
-    },
-    /// Replica → collector: signature share over the proposal.
-    SbftSignShare {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Share over the commit digest.
-        share: SignatureShare,
-    },
-    /// Collector → all: full-commit-proof (aggregated certificate).
-    SbftFullCommitProof {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Aggregated commit certificate.
-        cert: ThresholdCert,
-    },
-    /// Replica → executor: signature share over the execution result.
-    SbftSignState {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Share over the result digest.
-        share: SignatureShare,
-    },
-    /// Executor → all replicas: aggregated execution certificate.
-    SbftExecuteAck {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Aggregated execution certificate.
-        cert: ThresholdCert,
-    },
-
-    // ------------------------------------------------------------ HotStuff
-    /// Leader → all: a proposal extending the chain.
-    HsProposal {
-        /// The proposed block.
-        block: Arc<HsBlock>,
-    },
-    /// Replica → next leader: a vote (signature share) on a block.
-    HsVote {
-        /// Height of the voted block.
-        height: u64,
-        /// Digest of the voted block.
-        block: Digest,
-        /// Signature share forming the QC.
-        share: SignatureShare,
-    },
-    /// Replica → next leader: new-view on timeout, carrying the highest
-    /// known QC.
-    HsNewView {
-        /// The height being abandoned.
-        height: u64,
-        /// The sender's highest quorum certificate.
-        high_qc: Option<HsQuorumCert>,
-    },
-
     // ----------------------------------------------------------- check-
     /// Periodic checkpoint vote (all → all).
     Checkpoint {
@@ -454,52 +225,17 @@ impl ProtocolMsg {
             ProtocolMsg::Request(_) => "REQUEST",
             ProtocolMsg::RequestBroadcast(_) => "REQUEST-BCAST",
             ProtocolMsg::Forward(_) => "FORWARD",
-            ProtocolMsg::Reply(r) => match r.kind {
-                ReplyKind::PoeInform => "INFORM",
-                ReplyKind::PbftReply => "PBFT-REPLY",
-                ReplyKind::ZyzSpecResponse => "ZYZ-SPEC-RESPONSE",
-                ReplyKind::ZyzLocalCommit => "ZYZ-LOCAL-COMMIT",
-                ReplyKind::SbftExecuteAck => "SBFT-EXECUTE-ACK",
-                ReplyKind::HsReply => "HS-REPLY",
-            },
+            ProtocolMsg::Reply(_) => "INFORM",
             ProtocolMsg::PoePropose { .. } => "PROPOSE",
             ProtocolMsg::PoeSupport { .. } => "SUPPORT",
             ProtocolMsg::PoeSupportMac { .. } => "SUPPORT-MAC",
             ProtocolMsg::PoeCertify { .. } => "CERTIFY",
             ProtocolMsg::PoeVcRequest(_) => "VC-REQUEST",
             ProtocolMsg::PoeNvPropose { .. } => "NV-PROPOSE",
-            ProtocolMsg::PbftPrePrepare { .. } => "PRE-PREPARE",
-            ProtocolMsg::PbftPrepare { .. } => "PREPARE",
-            ProtocolMsg::PbftCommit { .. } => "COMMIT",
-            ProtocolMsg::PbftViewChangeMsg(_) => "VIEW-CHANGE",
-            ProtocolMsg::PbftNewView { .. } => "NEW-VIEW",
-            ProtocolMsg::ZyzOrderReq { .. } => "ORDER-REQ",
-            ProtocolMsg::ZyzCommit(_) => "ZYZ-COMMIT",
-            ProtocolMsg::SbftPrePrepare { .. } => "SBFT-PRE-PREPARE",
-            ProtocolMsg::SbftSignShare { .. } => "SBFT-SIGN-SHARE",
-            ProtocolMsg::SbftFullCommitProof { .. } => "SBFT-FULL-COMMIT-PROOF",
-            ProtocolMsg::SbftSignState { .. } => "SBFT-SIGN-STATE",
-            ProtocolMsg::SbftExecuteAck { .. } => "SBFT-EXECUTE-ACK",
-            ProtocolMsg::HsProposal { .. } => "HS-PROPOSAL",
-            ProtocolMsg::HsVote { .. } => "HS-VOTE",
-            ProtocolMsg::HsNewView { .. } => "HS-NEW-VIEW",
             ProtocolMsg::Checkpoint { .. } => "CHECKPOINT",
             ProtocolMsg::StateRequest(_) => "STATE-REQUEST",
             ProtocolMsg::StateChunk(_) => "STATE-CHUNK",
         }
-    }
-
-    /// True for messages carrying full batches (the bandwidth-dominant
-    /// messages; paper §IV-E).
-    pub fn carries_batch(&self) -> bool {
-        matches!(
-            self,
-            ProtocolMsg::PoePropose { .. }
-                | ProtocolMsg::PbftPrePrepare { .. }
-                | ProtocolMsg::ZyzOrderReq { .. }
-                | ProtocolMsg::SbftPrePrepare { .. }
-                | ProtocolMsg::HsProposal { .. }
-        )
     }
 }
 
@@ -541,26 +277,5 @@ mod tests {
             ProtocolMsg::Checkpoint { seq: SeqNum(0), state_digest: Digest::EMPTY }.label(),
             "CHECKPOINT"
         );
-    }
-
-    #[test]
-    fn batch_carriers_identified() {
-        let b = sample_batch();
-        assert!(ProtocolMsg::PoePropose { view: View(0), seq: SeqNum(0), batch: b.clone() }
-            .carries_batch());
-        assert!(!ProtocolMsg::PbftPrepare { view: View(0), seq: SeqNum(0), digest: b.digest }
-            .carries_batch());
-    }
-
-    #[test]
-    fn hs_block_digest_depends_on_fields() {
-        let b = sample_batch();
-        let block = HsBlock { height: 1, parent: Digest::EMPTY, justify: None, batch: b.clone() };
-        let mut other = block.clone();
-        other.height = 2;
-        assert_ne!(block.digest(), other.digest());
-        let mut other2 = block.clone();
-        other2.parent = Digest::of(b"x");
-        assert_ne!(block.digest(), other2.digest());
     }
 }

@@ -3,7 +3,7 @@
 //! Automatons never read a clock; they request timers via
 //! [`crate::automaton::Action::SetTimer`] and receive
 //! [`crate::automaton::Event::Timeout`] events. [`TimerKind`] enumerates
-//! every timer any of the five protocols uses, so timeouts are
+//! every timer PoE replicas and clients use, so timeouts are
 //! self-describing and need no id-to-meaning table in protocol code.
 
 use crate::ids::{SeqNum, View};
@@ -17,19 +17,11 @@ pub enum TimerKind {
     RequestProgress(Digest),
     /// A replica is waiting for the normal case to advance past `seq`.
     SlotProgress(SeqNum),
-    /// Waiting for the NV-PROPOSE / NEW-VIEW of `view` after requesting a
+    /// Waiting for the NV-PROPOSE of `view` after requesting a
     /// view change; expiry escalates to the next view.
     ViewChange(View),
     /// A client is waiting for enough replies to its request.
     ClientRetry(u64),
-    /// Zyzzyva client: window to gather all `n` speculative responses
-    /// before falling back to the commit path.
-    ZyzFastPath(u64),
-    /// SBFT collector: window to gather all `n` sign-shares before
-    /// falling back to the slow path.
-    SbftFastPath(SeqNum),
-    /// HotStuff pacemaker round timer.
-    HsRound(u64),
     /// The primary's batch cut-off (flush a partial batch).
     BatchCut,
     /// A lagging replica's state-transfer retry timer: re-drives the

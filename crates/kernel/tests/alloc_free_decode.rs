@@ -67,10 +67,10 @@ fn decode_and_pooled_encode_allocation_budgets() {
     // --- fixed-size messages decode with ZERO heap allocations -------
     let digest_msgs = vec![
         ProtocolMsg::PoeSupportMac { view: View(1), seq: SeqNum(2), digest: Digest::of(b"d") },
-        ProtocolMsg::PbftPrepare { view: View(1), seq: SeqNum(2), digest: Digest::of(b"d") },
-        ProtocolMsg::PbftCommit { view: View(1), seq: SeqNum(2), digest: Digest::of(b"d") },
         ProtocolMsg::Checkpoint { seq: SeqNum(9), state_digest: Digest::of(b"s") },
-        ProtocolMsg::HsNewView { height: 4, high_qc: None },
+        ProtocolMsg::StateRequest(StateRequestKind::Manifest),
+        ProtocolMsg::StateRequest(StateRequestKind::Chunk { stable: SeqNum(8), chunk: 3 }),
+        ProtocolMsg::StateRequest(StateRequestKind::Tail { after: SeqNum(8) }),
         ProtocolMsg::PoeSupport {
             view: View(1),
             seq: SeqNum(2),
@@ -104,7 +104,7 @@ fn decode_and_pooled_encode_allocation_budgets() {
     let env = Envelope {
         from: NodeId::Replica(ReplicaId(3)),
         auth: km.replica(3).authenticate(0, b"body"),
-        msg: ProtocolMsg::PbftPrepare { view: View(0), seq: SeqNum(1), digest: Digest::of(b"x") },
+        msg: ProtocolMsg::PoeSupportMac { view: View(0), seq: SeqNum(1), digest: Digest::of(b"x") },
     };
     let bytes = encode_envelope(&env);
     let allocs = min_allocs(|| {
@@ -256,30 +256,24 @@ fn propose_decode_with_payloads_is_allocation_free() {
     assert!(hits >= 5, "steady-state decodes must reuse the container");
 }
 
-/// Shared-frame decode of the other batch-carrying hot-path messages
-/// stays within the two container allocations (requests vec + Arc), with
-/// zero per-request or per-byte allocations, even without a pool.
+/// Shared-frame decode of a PROPOSE without a pool stays within the two
+/// container allocations (requests vec + Arc), with zero per-request or
+/// per-byte allocations.
 fn shared_decode_allocates_only_containers() {
     let requests: Vec<ClientRequest> = (0..50)
         .map(|i| ClientRequest::new(ClientId(i as u32 % 4), i, vec![7u8; 48], None))
         .collect();
-    let batch = Batch::new(requests);
-    for msg in [
-        ProtocolMsg::PoePropose { view: View(0), seq: SeqNum(1), batch: batch.clone() },
-        ProtocolMsg::PbftPrePrepare { view: View(0), seq: SeqNum(1), batch: batch.clone() },
-        ProtocolMsg::SbftPrePrepare { view: View(0), seq: SeqNum(1), batch: batch.clone() },
-    ] {
-        let frame = encode_frame(&msg);
-        let allocs = min_allocs(|| {
-            let decoded = decode_msg_shared(&frame).expect("decode");
-            std::hint::black_box(&decoded);
-        });
-        assert!(
-            allocs <= 2,
-            "{}: shared decode allocated {allocs} times (expected <= 2: requests vec + Arc)",
-            msg.label()
-        );
-    }
+    let msg =
+        ProtocolMsg::PoePropose { view: View(0), seq: SeqNum(1), batch: Batch::new(requests) };
+    let frame = encode_frame(&msg);
+    let allocs = min_allocs(|| {
+        let decoded = decode_msg_shared(&frame).expect("decode");
+        std::hint::black_box(&decoded);
+    });
+    assert!(
+        allocs <= 2,
+        "shared PROPOSE decode allocated {allocs} times (expected <= 2: requests vec + Arc)"
+    );
 }
 
 /// Cloning a [`WireBytes`] view or slicing sub-views never touches the

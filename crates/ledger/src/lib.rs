@@ -31,11 +31,11 @@ use std::fmt;
 pub enum BlockProof {
     /// The genesis block needs no proof.
     Genesis,
-    /// PoE/SBFT/HotStuff: the aggregated threshold certificate.
+    /// Threshold-signature mode: the aggregated threshold certificate.
     Certificate(ThresholdCert),
-    /// PBFT/Zyzzyva: the committee of replicas whose matching votes
-    /// committed the block (MAC-authenticated protocols have no compact
-    /// transferable certificate).
+    /// MAC mode (paper Appendix A): the committee of replicas whose
+    /// matching SUPPORT votes committed the block (MAC-authenticated
+    /// votes yield no compact transferable certificate).
     Committee(Vec<ReplicaId>),
     /// The per-slot acceptance proof never completed locally — e.g. the
     /// watermark advanced past the slot and discarded its late SUPPORT
@@ -214,10 +214,10 @@ impl Ledger {
     /// `(seq, view, batch_digest)`, excluding acceptance proofs.
     ///
     /// [`Ledger::head_hash`] covers proofs, which are only canonical in
-    /// certificate-carrying protocols (PoE-TS, SBFT, HotStuff). In MAC
-    /// mode every replica commits on its *own* `nf` matching SUPPORT
-    /// votes, so the recorded committee — and hence the block hash — can
-    /// legitimately differ across replicas that agree on the history.
+    /// threshold-signature mode. In MAC mode every replica commits on its
+    /// *own* `nf` matching SUPPORT votes, so the recorded committee — and
+    /// hence the block hash — can legitimately differ across replicas that
+    /// agree on the history.
     /// Convergence audits therefore compare this digest instead.
     pub fn history_digest(&self) -> Digest {
         let mut acc = self.genesis_hash;

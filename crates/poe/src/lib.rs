@@ -10,7 +10,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | Fig. 3 normal case, Lines 1–7 (client) | `poe_workload::client` with an `nf`-matching reply policy |
+//! | Fig. 3 normal case, Lines 1–7 (client) | `poe_workload::client` with an `nf` reply quorum |
 //! | Fig. 3 Lines 8–13: primary batches `⟨T⟩c`, sends PROPOSE | [`replica::PoeReplica::on_event`] request path + batch-cut timer (§III "Batching") |
 //! | Fig. 3 Lines 14–19: backup checks PROPOSE, speculatively executes, sends SUPPORT | `accept_proposal` / `try_execute`; TS shares via [`poe_crypto::CryptoProvider::ts_share`], MAC digests per Appendix A |
 //! | Fig. 3 Lines 20–22: primary aggregates `nf` shares into CERTIFY | `try_aggregate` (batch share verification, blame fallback) |

@@ -15,8 +15,8 @@ use poe_kernel::codec::poe_vc_signing_bytes;
 use poe_kernel::config::ClusterConfig;
 use poe_kernel::ids::{NodeId, ReplicaId, SeqNum, View};
 use poe_kernel::messages::{
-    ClientReply, ExecEntry, PoeVcRequest, ProtocolMsg, RepairManifest, ReplyKind,
-    StateChunkPayload, StateRequestKind,
+    ClientReply, ExecEntry, PoeVcRequest, ProtocolMsg, RepairManifest, StateChunkPayload,
+    StateRequestKind,
 };
 use poe_kernel::quorum::MatchingVotes;
 use poe_kernel::request::{Batch, Batcher, ClientRequest};
@@ -528,14 +528,12 @@ impl PoeReplica {
                 out.send(
                     NodeId::Client(req.client),
                     ProtocolMsg::Reply(ClientReply {
-                        kind: ReplyKind::PoeInform,
                         view: slot.proposed_view,
                         seq,
                         req_digest: *req_digest,
                         req_id: req.req_id,
                         result: results.results[i].clone(),
                         replica: self.id,
-                        history: None,
                     }),
                 );
                 return;
@@ -912,14 +910,12 @@ impl PoeReplica {
             out.send(
                 NodeId::Client(req.client),
                 ProtocolMsg::Reply(ClientReply {
-                    kind: ReplyKind::PoeInform,
                     view: slot.proposed_view,
                     seq,
                     req_digest: req.digest(),
                     req_id: req.req_id,
                     result: results.results[i].clone(),
                     replica: self.id,
-                    history: None,
                 }),
             );
         }

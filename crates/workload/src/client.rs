@@ -1,43 +1,23 @@
 //! The client automaton.
 //!
 //! Clients submit signed requests to the primary, keep a bounded number in
-//! flight (closed loop), collect replies under a per-protocol
-//! [`ReplyPolicy`], and retransmit by broadcasting to all replicas when a
-//! timeout expires — the fallback path of paper §II-B: "If client c does
-//! not know the current primary or does not get any timely response … it
-//! can broadcast its request to all replicas".
-//!
-//! Zyzzyva's client is special: it *participates* in consensus. It waits
-//! for speculative responses from **all n** replicas; if only `2f+1..n`
-//! matching responses arrive within the fast-path window, it assembles a
-//! commit certificate, broadcasts it, and waits for `f+1` local-commits.
-//! This client-side burden is exactly why a single crashed backup
-//! devastates Zyzzyva in Figure 9(a).
+//! flight (closed loop), complete a request once a quorum of identical
+//! INFORMs arrives (PoE: `nf`, Figure 3), and retransmit by
+//! broadcasting to all replicas when a timeout expires — the fallback
+//! path of paper §II-B: "If client c does not know the current primary or
+//! does not get any timely response … it can broadcast its request to all
+//! replicas".
 
 use poe_crypto::provider::CryptoProvider;
-use poe_crypto::Digest;
 use poe_kernel::automaton::{ClientAutomaton, Event, Notification, Outbox, RequestSource};
 use poe_kernel::ids::{ClientId, SeqNum, View};
-use poe_kernel::messages::{ClientReply, ProtocolMsg, ReplyKind, ZyzCommitCert};
+use poe_kernel::messages::{ClientReply, ProtocolMsg};
 use poe_kernel::quorum::MatchingVotes;
 use poe_kernel::request::ClientRequest;
 use poe_kernel::time::{Duration, Time};
 use poe_kernel::timer::TimerKind;
 use poe_kernel::wire::WireBytes;
 use std::collections::HashMap;
-
-/// How many replies complete a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplyPolicy {
-    /// Complete after `quorum` identical replies from distinct replicas
-    /// (PoE: `nf`; PBFT/HotStuff: `f+1`; SBFT: 1 certificate-bearing ack).
-    Matching {
-        /// Number of identical replies required.
-        quorum: usize,
-    },
-    /// The Zyzzyva twin-path client.
-    Zyzzyva,
-}
 
 /// Client configuration.
 #[derive(Clone, Debug)]
@@ -48,8 +28,9 @@ pub struct ClientConfig {
     pub n: usize,
     /// Fault bound `f`.
     pub f: usize,
-    /// Reply collection policy.
-    pub policy: ReplyPolicy,
+    /// Number of identical replies from distinct replicas that complete
+    /// a request.
+    pub quorum: usize,
     /// Maximum requests in flight (1 = fully closed loop, the Fig. 9(k,l)
     /// configuration).
     pub outstanding: usize,
@@ -57,31 +38,23 @@ pub struct ClientConfig {
     pub max_requests: Option<u64>,
     /// Retransmission timeout (paper uses 3 s).
     pub retry: Duration,
-    /// Zyzzyva fast-path window before falling back to the commit path.
-    pub zyz_fast_window: Duration,
     /// Whether requests are signed (false only in `CryptoMode::None`).
     pub sign: bool,
 }
 
 impl ClientConfig {
-    /// Defaults for a protocol needing `quorum` matching replies.
+    /// Defaults for a client needing `quorum` matching replies.
     pub fn matching(id: ClientId, n: usize, f: usize, quorum: usize) -> ClientConfig {
         ClientConfig {
             id,
             n,
             f,
-            policy: ReplyPolicy::Matching { quorum },
+            quorum,
             outstanding: 1,
             max_requests: None,
             retry: Duration::from_secs(3),
-            zyz_fast_window: Duration::from_secs(3),
             sign: true,
         }
-    }
-
-    /// Defaults for a Zyzzyva client.
-    pub fn zyzzyva(id: ClientId, n: usize, f: usize) -> ClientConfig {
-        ClientConfig { policy: ReplyPolicy::Zyzzyva, ..Self::matching(id, n, f, n) }
     }
 
     /// Sets the in-flight window.
@@ -102,16 +75,9 @@ impl ClientConfig {
         self.retry = retry;
         self
     }
-
-    /// Sets the Zyzzyva fast-path window.
-    pub fn with_zyz_window(mut self, w: Duration) -> Self {
-        self.zyz_fast_window = w;
-        self
-    }
 }
 
-/// Reply-matching key: identical means same (view, seq, result) — and,
-/// for Zyzzyva speculative responses, the same history digest. Replies
+/// Reply-matching key: identical means same (view, seq, result). Replies
 /// are matched by *value* (the result is a cheap shared view), not by
 /// hashing: reply collection runs once per reply per request, and a
 /// tuple compare beats a digest there.
@@ -119,8 +85,6 @@ impl ClientConfig {
 struct ReplyKey {
     view: View,
     seq: SeqNum,
-    /// `None` outside Zyzzyva's speculative fast path.
-    history: Option<Digest>,
     result: WireBytes,
 }
 
@@ -128,8 +92,6 @@ struct InFlight {
     request: ClientRequest,
     submitted_at: Time,
     votes: MatchingVotes<ReplyKey>,
-    commit_sent: bool,
-    local_commits: MatchingVotes<ReplyKey>,
     retries: u32,
 }
 
@@ -215,19 +177,9 @@ impl WorkloadClient {
             let primary = self.view_hint.primary(self.cfg.n);
             out.send(primary, ProtocolMsg::Request(request.clone()));
             out.set_timer(TimerKind::ClientRetry(req_id), self.cfg.retry);
-            if self.cfg.policy == ReplyPolicy::Zyzzyva {
-                out.set_timer(TimerKind::ZyzFastPath(req_id), self.cfg.zyz_fast_window);
-            }
             self.inflight.insert(
                 req_id,
-                InFlight {
-                    request,
-                    submitted_at: now,
-                    votes: MatchingVotes::new(),
-                    commit_sent: false,
-                    local_commits: MatchingVotes::new(),
-                    retries: 0,
-                },
+                InFlight { request, submitted_at: now, votes: MatchingVotes::new(), retries: 0 },
             );
         }
     }
@@ -237,9 +189,6 @@ impl WorkloadClient {
             return;
         };
         out.cancel_timer(TimerKind::ClientRetry(req_id));
-        if self.cfg.policy == ReplyPolicy::Zyzzyva {
-            out.cancel_timer(TimerKind::ZyzFastPath(req_id));
-        }
         self.completed += 1;
         out.notify(Notification::RequestComplete {
             client: self.cfg.id,
@@ -260,52 +209,10 @@ impl WorkloadClient {
         if reply.req_digest != entry.request.digest() {
             return; // Reply for a different incarnation of this id.
         }
-        match (self.cfg.policy, reply.kind) {
-            (
-                ReplyPolicy::Matching { quorum },
-                ReplyKind::PoeInform
-                | ReplyKind::PbftReply
-                | ReplyKind::SbftExecuteAck
-                | ReplyKind::HsReply,
-            ) => {
-                let key = ReplyKey {
-                    view: reply.view,
-                    seq: reply.seq,
-                    history: None,
-                    result: reply.result,
-                };
-                entry.votes.insert(reply.replica, key.clone());
-                if entry.votes.count_for(&key) >= quorum {
-                    self.complete(req_id, now, out);
-                }
-            }
-            (ReplyPolicy::Zyzzyva, ReplyKind::ZyzSpecResponse) => {
-                let history = reply.history.unwrap_or(Digest::EMPTY);
-                let key = ReplyKey {
-                    view: reply.view,
-                    seq: reply.seq,
-                    history: Some(history),
-                    result: reply.result,
-                };
-                entry.votes.insert(reply.replica, key.clone());
-                // Fast path: all n replicas agree.
-                if entry.votes.count_for(&key) >= self.cfg.n {
-                    self.complete(req_id, now, out);
-                }
-            }
-            (ReplyPolicy::Zyzzyva, ReplyKind::ZyzLocalCommit) => {
-                let key = ReplyKey {
-                    view: reply.view,
-                    seq: reply.seq,
-                    history: None,
-                    result: reply.result,
-                };
-                entry.local_commits.insert(reply.replica, key.clone());
-                if entry.local_commits.count_for(&key) > self.cfg.f {
-                    self.complete(req_id, now, out);
-                }
-            }
-            _ => {}
+        let key = ReplyKey { view: reply.view, seq: reply.seq, result: reply.result };
+        entry.votes.insert(reply.replica, key.clone());
+        if entry.votes.count_for(&key) >= self.cfg.quorum {
+            self.complete(req_id, now, out);
         }
     }
 
@@ -318,34 +225,6 @@ impl WorkloadClient {
         // primary and start failure-detection timers.
         out.broadcast(ProtocolMsg::RequestBroadcast(entry.request.clone()));
         out.set_timer(TimerKind::ClientRetry(req_id), self.cfg.retry);
-    }
-
-    fn on_zyz_window(&mut self, req_id: u64, out: &mut Outbox) {
-        let commit_quorum = 2 * self.cfg.f + 1;
-        let Some(entry) = self.inflight.get_mut(&req_id) else {
-            return;
-        };
-        if entry.commit_sent {
-            return;
-        }
-        // Find a spec-response value with >= 2f+1 matches; everything
-        // the commit certificate needs lives in the matching key itself.
-        let candidate = entry.votes.quorum_value(commit_quorum).cloned();
-        if let Some(key) = candidate {
-            let replicas: Vec<_> = entry.votes.voters_for(&key).collect();
-            entry.commit_sent = true;
-            out.broadcast(ProtocolMsg::ZyzCommit(ZyzCommitCert {
-                view: key.view,
-                seq: key.seq,
-                history: key.history.unwrap_or(Digest::EMPTY),
-                replicas,
-            }));
-            // Await f+1 local commits; the retry timer still guards us.
-        } else {
-            // Not enough matching responses: re-arm and keep waiting; the
-            // retry timer will rebroadcast the request.
-            out.set_timer(TimerKind::ZyzFastPath(req_id), self.cfg.zyz_fast_window);
-        }
     }
 }
 
@@ -362,7 +241,6 @@ impl ClientAutomaton for WorkloadClient {
             }
             Event::Deliver { .. } => {}
             Event::Timeout(TimerKind::ClientRetry(req_id)) => self.on_retry(req_id, out),
-            Event::Timeout(TimerKind::ZyzFastPath(req_id)) => self.on_zyz_window(req_id, out),
             Event::Timeout(_) => {}
         }
         // Defensive: budget accounting should never go negative.
@@ -381,45 +259,35 @@ impl ClientAutomaton for WorkloadClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poe_crypto::{CertScheme, CryptoMode, KeyMaterial};
+    use poe_crypto::{CertScheme, CryptoMode, Digest, KeyMaterial};
     use poe_kernel::automaton::{Action, FixedPayloadSource};
     use poe_kernel::ids::{NodeId, ReplicaId};
 
-    fn client(policy: ReplyPolicy, outstanding: usize) -> WorkloadClient {
+    fn client(quorum: usize, outstanding: usize) -> WorkloadClient {
         let km = KeyMaterial::generate(4, 1, 3, CryptoMode::Cmac, CertScheme::MultiSig, 3);
         let cfg = ClientConfig {
             id: ClientId(0),
             n: 4,
             f: 1,
-            policy,
+            quorum,
             outstanding,
             max_requests: None,
             retry: Duration::from_secs(3),
-            zyz_fast_window: Duration::from_secs(1),
             sign: true,
         };
         WorkloadClient::new(cfg, km.client(0), Box::new(FixedPayloadSource::unbounded(vec![1])))
     }
 
-    fn reply(
-        c: &WorkloadClient,
-        replica: u32,
-        req_id: u64,
-        kind: ReplyKind,
-        result: &[u8],
-        history: Option<Digest>,
-    ) -> ClientReply {
+    fn reply(c: &WorkloadClient, replica: u32, req_id: u64, result: &[u8]) -> ClientReply {
         // Build a reply matching the client's in-flight request digest.
         let entry = c.inflight.get(&req_id).expect("in flight");
         ClientReply {
-            kind,
             view: View(0),
             seq: SeqNum(0),
             req_digest: entry.request.digest(),
             req_id,
             result: result.to_vec().into(),
             replica: ReplicaId(replica),
-            history,
         }
     }
 
@@ -437,18 +305,16 @@ mod tests {
         c: &mut WorkloadClient,
         replica: u32,
         req_id: u64,
-        kind: ReplyKind,
         result: &[u8],
-        history: Option<Digest>,
         now: Time,
     ) -> Vec<Action> {
-        let r = reply(c, replica, req_id, kind, result, history);
+        let r = reply(c, replica, req_id, result);
         deliver_raw(c, r, now)
     }
 
     #[test]
     fn init_submits_window() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 3 }, 2);
+        let mut c = client(3, 2);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         let sends = out
@@ -462,14 +328,14 @@ mod tests {
 
     #[test]
     fn quorum_of_identical_replies_completes() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 3 }, 1);
+        let mut c = client(3, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         for r in 0..2 {
-            deliver(&mut c, r, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+            deliver(&mut c, r, 0, b"ok", Time(1));
             assert_eq!(c.completed(), 0);
         }
-        let actions = deliver(&mut c, 2, 0, ReplyKind::PoeInform, b"ok", None, Time(2));
+        let actions = deliver(&mut c, 2, 0, b"ok", Time(2));
         assert_eq!(c.completed(), 1);
         assert!(actions
             .iter()
@@ -480,30 +346,30 @@ mod tests {
 
     #[test]
     fn divergent_replies_do_not_complete() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 3 }, 1);
+        let mut c = client(3, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"a", None, Time(1));
-        deliver(&mut c, 1, 0, ReplyKind::PoeInform, b"b", None, Time(1));
-        deliver(&mut c, 2, 0, ReplyKind::PoeInform, b"c", None, Time(1));
+        deliver(&mut c, 0, 0, b"a", Time(1));
+        deliver(&mut c, 1, 0, b"b", Time(1));
+        deliver(&mut c, 2, 0, b"c", Time(1));
         assert_eq!(c.completed(), 0);
     }
 
     #[test]
     fn duplicate_replica_does_not_count_twice() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 2 }, 1);
+        let mut c = client(2, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
         assert_eq!(c.completed(), 0);
-        deliver(&mut c, 1, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+        deliver(&mut c, 1, 0, b"ok", Time(1));
         assert_eq!(c.completed(), 1);
     }
 
     #[test]
     fn retry_broadcasts_request() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 3 }, 1);
+        let mut c = client(3, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         let mut out2 = Outbox::new();
@@ -512,65 +378,6 @@ mod tests {
             .actions()
             .iter()
             .any(|a| matches!(a, Action::Broadcast { msg: ProtocolMsg::RequestBroadcast(_) })));
-    }
-
-    #[test]
-    fn zyzzyva_fast_path_needs_all_n() {
-        let mut c = client(ReplyPolicy::Zyzzyva, 1);
-        let mut out = Outbox::new();
-        c.on_event(Time::ZERO, Event::Init, &mut out);
-        let h = Some(Digest::of(b"hist"));
-        for r in 0..3 {
-            deliver(&mut c, r, 0, ReplyKind::ZyzSpecResponse, b"ok", h, Time(1));
-        }
-        assert_eq!(c.completed(), 0, "3 of 4 is not enough for the fast path");
-        deliver(&mut c, 3, 0, ReplyKind::ZyzSpecResponse, b"ok", h, Time(1));
-        assert_eq!(c.completed(), 1);
-    }
-
-    #[test]
-    fn zyzzyva_commit_path_after_window() {
-        let mut c = client(ReplyPolicy::Zyzzyva, 1);
-        let mut out = Outbox::new();
-        c.on_event(Time::ZERO, Event::Init, &mut out);
-        let h = Some(Digest::of(b"hist"));
-        // Only 3 of 4 replicas respond (one crashed).
-        for r in 0..3 {
-            deliver(&mut c, r, 0, ReplyKind::ZyzSpecResponse, b"ok", h, Time(1));
-        }
-        // Fast-path window expires: client must broadcast a commit cert.
-        let mut out2 = Outbox::new();
-        c.on_event(Time(2), Event::Timeout(TimerKind::ZyzFastPath(0)), &mut out2);
-        let commit = out2.actions().iter().find_map(|a| match a {
-            Action::Broadcast { msg: ProtocolMsg::ZyzCommit(cc) } => Some(cc.clone()),
-            _ => None,
-        });
-        let cc = commit.expect("commit certificate broadcast");
-        assert_eq!(cc.replicas.len(), 3);
-        // f+1 local commits complete the request.
-        deliver(&mut c, 0, 0, ReplyKind::ZyzLocalCommit, b"ok", None, Time(3));
-        assert_eq!(c.completed(), 0);
-        deliver(&mut c, 1, 0, ReplyKind::ZyzLocalCommit, b"ok", None, Time(3));
-        assert_eq!(c.completed(), 1);
-    }
-
-    #[test]
-    fn zyzzyva_window_rearms_without_quorum() {
-        let mut c = client(ReplyPolicy::Zyzzyva, 1);
-        let mut out = Outbox::new();
-        c.on_event(Time::ZERO, Event::Init, &mut out);
-        let h = Some(Digest::of(b"hist"));
-        deliver(&mut c, 0, 0, ReplyKind::ZyzSpecResponse, b"ok", h, Time(1));
-        let mut out2 = Outbox::new();
-        c.on_event(Time(2), Event::Timeout(TimerKind::ZyzFastPath(0)), &mut out2);
-        assert!(out2
-            .actions()
-            .iter()
-            .any(|a| matches!(a, Action::SetTimer { kind: TimerKind::ZyzFastPath(0), .. })));
-        assert!(!out2
-            .actions()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: ProtocolMsg::ZyzCommit(_) })));
     }
 
     #[test]
@@ -585,10 +392,10 @@ mod tests {
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         assert_eq!(c.in_flight(), 1);
-        deliver(&mut c, 0, 0, ReplyKind::PbftReply, b"ok", None, Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
         assert_eq!(c.completed(), 1);
         assert_eq!(c.in_flight(), 1);
-        deliver(&mut c, 0, 1, ReplyKind::PbftReply, b"ok", None, Time(2));
+        deliver(&mut c, 0, 1, b"ok", Time(2));
         assert_eq!(c.completed(), 2);
         assert_eq!(c.in_flight(), 0, "budget exhausted: no further submissions");
     }
@@ -608,30 +415,30 @@ mod tests {
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         assert!(!c.is_done());
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
         assert!(!c.is_done(), "one request left in the source");
-        deliver(&mut c, 0, 1, ReplyKind::PoeInform, b"ok", None, Time(2));
+        deliver(&mut c, 0, 1, b"ok", Time(2));
         assert_eq!(c.completed(), 2);
         assert!(c.is_done(), "source exhausted + nothing in flight = done");
     }
 
     #[test]
     fn is_done_when_budget_spent() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 1 }, 1);
+        let mut c = client(1, 1);
         assert!(!c.is_done(), "unbounded budget, infinite source");
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         c.cfg.max_requests = Some(1);
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
         assert!(c.is_done());
     }
 
     #[test]
     fn view_hint_tracks_replies() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 3 }, 1);
+        let mut c = client(3, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
-        let mut r = reply(&c, 0, 0, ReplyKind::PoeInform, b"ok", None);
+        let mut r = reply(&c, 0, 0, b"ok");
         r.view = View(5);
         deliver_raw(&mut c, r, Time(1));
         assert_eq!(c.view_hint(), View(5));
@@ -639,22 +446,20 @@ mod tests {
 
     #[test]
     fn stale_reply_ignored() {
-        let mut c = client(ReplyPolicy::Matching { quorum: 1 }, 1);
+        let mut c = client(1, 1);
         let mut out = Outbox::new();
         c.on_event(Time::ZERO, Event::Init, &mut out);
         // Complete request 0.
-        deliver(&mut c, 0, 0, ReplyKind::PoeInform, b"ok", None, Time(1));
+        deliver(&mut c, 0, 0, b"ok", Time(1));
         assert_eq!(c.completed(), 1);
         // A late duplicate for request 0 must not disturb request 1.
         let stale = ClientReply {
-            kind: ReplyKind::PoeInform,
             view: View(0),
             seq: SeqNum(0),
             req_digest: Digest::of(b"whatever"),
             req_id: 0,
             result: b"ok".to_vec().into(),
             replica: ReplicaId(2),
-            history: None,
         };
         deliver_raw(&mut c, stale, Time(2));
         assert_eq!(c.completed(), 1);

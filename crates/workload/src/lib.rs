@@ -11,8 +11,7 @@
 //! * [`ycsb`] — a [`poe_kernel::automaton::RequestSource`] producing
 //!   serialized `poe-store` transactions.
 //! * [`client`] — the client automaton: open/closed-loop submission,
-//!   reply-quorum collection (per-protocol policies), retransmission with
-//!   primary discovery, and Zyzzyva's client-side commit path.
+//!   reply-quorum collection, and retransmission with primary discovery.
 //! * [`openloop`] — the open-loop load engine: fixed-rate/Poisson
 //!   arrival schedules and the session multiplexer that drives 10⁵–10⁶
 //!   simulated client sessions from a few driver threads.
@@ -25,7 +24,7 @@ pub mod openloop;
 pub mod ycsb;
 pub mod zipf;
 
-pub use client::{ClientConfig, ReplyPolicy, WorkloadClient};
+pub use client::{ClientConfig, WorkloadClient};
 pub use openloop::{ArrivalGen, ArrivalProcess, MuxStats, OpSource, SessionMux, Signer};
 pub use ycsb::{YcsbConfig, YcsbWorkload};
 pub use zipf::Zipfian;

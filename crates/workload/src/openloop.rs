@@ -30,7 +30,7 @@
 use poe_crypto::ed25519::Signature;
 use poe_crypto::Digest;
 use poe_kernel::ids::{ClientId, SeqNum, View};
-use poe_kernel::messages::{ClientReply, ReplyKind};
+use poe_kernel::messages::ClientReply;
 use poe_kernel::quorum::MatchingVotes;
 use poe_kernel::request::ClientRequest;
 use poe_kernel::time::{Duration, Time};
@@ -265,9 +265,6 @@ impl SessionMux {
         if reply.view > self.view_hint {
             self.view_hint = reply.view;
         }
-        if reply.kind != ReplyKind::PoeInform {
-            return None;
-        }
         let offset = offset_of(reply.req_id);
         let entry = self.inflight.get_mut(&offset)?;
         if entry.req_id != reply.req_id || entry.req_digest != reply.req_digest {
@@ -323,14 +320,12 @@ mod tests {
 
     fn inform(req: &ClientRequest, replica: u32, result: &[u8]) -> ClientReply {
         ClientReply {
-            kind: ReplyKind::PoeInform,
             view: View(0),
             seq: SeqNum(0),
             req_digest: req.digest(),
             req_id: req.req_id,
             result: result.to_vec().into(),
             replica: ReplicaId(replica),
-            history: None,
         }
     }
 

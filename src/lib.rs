@@ -2,7 +2,7 @@
 //!
 //! Facade crate re-exporting the full PoE reproduction: the
 //! Proof-of-Execution BFT consensus protocol (EDBT 2021) with its
-//! substrates and baselines. See the individual crates for details:
+//! substrates. See the individual crates for details:
 //!
 //! * [`poe_crypto`] — from-scratch cryptographic toolbox.
 //! * [`poe_kernel`] — consensus kernel (ids, messages, codec, automatons).
@@ -11,13 +11,11 @@
 //! * [`poe_workload`] — YCSB-style workload generation.
 //! * [`poe_net`] — simulated and in-process network substrates.
 //! * [`poe_consensus`] — the PoE protocol itself.
-//! * [`poe_baselines`] — PBFT, Zyzzyva, SBFT, HotStuff.
 //! * [`poe_sim`] — deterministic discrete-event cluster simulator.
 //! * [`poe_fabric`] — multi-threaded pipelined replica runtime.
 
 #![forbid(unsafe_code)]
 
-pub use poe_baselines as baselines;
 pub use poe_consensus as consensus;
 pub use poe_crypto as crypto;
 pub use poe_fabric as fabric;
