@@ -17,8 +17,8 @@
 //! * [`threshold`] — threshold certificates with `nf` shares. The paper
 //!   uses BLS; pairing-based BLS is replaced by a multi-signature
 //!   certificate (a vector of `nf` Ed25519 signatures) with identical
-//!   quorum semantics, plus a cheap simulation-oriented scheme. See
-//!   `DESIGN.md` §4 for the substitution argument.
+//!   quorum semantics, plus a cheap simulation-oriented scheme. The
+//!   [`threshold`] module doc gives the substitution argument.
 //! * [`provider`] — a per-replica [`provider::CryptoProvider`] facade that
 //!   bundles keys for a whole cluster and dispatches on a
 //!   [`provider::CryptoMode`] (None / MACs / digital signatures), mirroring

@@ -5,14 +5,22 @@
 //! certificate `⟨h⟩` broadcast in the CERTIFY message. The paper instantiates
 //! this with BLS. Pairing-based BLS is out of scope for a from-scratch
 //! no-dependency build, so this module offers two schemes with the same
-//! quorum semantics (see DESIGN.md §4):
+//! quorum semantics.
+//!
+//! Why a vector of Ed25519 signatures may stand in for BLS: PoE uses the
+//! certificate for one thing, to prove that `nf` distinct replicas signed
+//! the same digest, so that any two certificates for a view and sequence
+//! number share an honest signer. A vector of `nf` signatures from distinct
+//! signers proves exactly that, is publicly verifiable and cannot be forged
+//! by f byzantine replicas; the protocol sends the same messages in the
+//! same phases. What changes is cost, not semantics: the certificate grows
+//! from one group element to `nf` signatures, and verifying it is one
+//! `nf`-item batch verification instead of one pairing check.
 //!
 //! * [`CertScheme::MultiSig`] — a *multi-signature certificate*: the share is
 //!   a real Ed25519 signature and the certificate is the vector of `nf`
-//!   signatures from distinct replicas. Unforgeable with ≤ f byzantine
-//!   replicas, publicly verifiable, identical message/phase counts to BLS;
-//!   only the certificate is O(n)·64 bytes instead of constant-size (the
-//!   simulator's bandwidth model accounts for this).
+//!   signatures from distinct replicas, O(n)·64 bytes (the simulator's
+//!   bandwidth model accounts for this).
 //! * [`CertScheme::Simulated`] — a dealer-keyed scheme for simulation runs:
 //!   shares and certificates are HMAC tags under keys derived from a master
 //!   secret known to the (single-process) simulation environment. It has
@@ -21,7 +29,7 @@
 //!   the simulator never forges tags, and adversarial unit tests use
 //!   `MultiSig`.
 
-use crate::ed25519::{Signature, SigningKey, VerifyingKey, SIGNATURE_LEN};
+use crate::ed25519::{PreparedKey, Signature, SigningKey, SIGNATURE_LEN};
 use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::sink::Sink;
 use std::fmt;
@@ -251,8 +259,9 @@ pub struct ThresholdSigner {
     my_index: u32,
     /// MultiSig: this replica's Ed25519 key.
     ed_key: Option<SigningKey>,
-    /// MultiSig: everyone's verifying keys, indexed by replica.
-    ed_public: Vec<VerifyingKey>,
+    /// MultiSig: everyone's verifying keys with their points, indexed by
+    /// replica.
+    ed_public: Vec<PreparedKey>,
     /// Simulated: dealer master secret (shared by the simulation process).
     sim_master: [u8; 32],
     /// Simulated: precomputed keyed HMAC state per replica (share
@@ -269,7 +278,7 @@ impl ThresholdSigner {
         threshold: usize,
         my_index: u32,
         ed_key: Option<SigningKey>,
-        ed_public: Vec<VerifyingKey>,
+        ed_public: Vec<PreparedKey>,
         sim_master: [u8; 32],
     ) -> Self {
         let sim_share_macs = match scheme {
@@ -291,11 +300,6 @@ impl ThresholdSigner {
             sim_master,
             sim_share_macs,
         }
-    }
-
-    /// The number of shares required for a certificate (the paper's `nf`).
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// The scheme in use.
@@ -337,7 +341,7 @@ impl ThresholdSigner {
     ///
     /// All shares cover the **same** message — the ideal batch shape —
     /// so in `MultiSig` mode the whole selected share set is verified in
-    /// one [`crate::ed25519::verify_batch`] pass (one shared doubling
+    /// one [`crate::ed25519::verify_batch_prepared`] pass (one shared doubling
     /// chain instead of one per share). Only when that combined check
     /// fails does aggregation fall back to per-share verification, to
     /// attribute blame: the honest-primary hot path never pays the
@@ -375,11 +379,11 @@ impl ThresholdSigner {
                         }
                     };
                     match self.ed_public.get(share.signer as usize) {
-                        Some(pk) => batch.push((msg, *pk, sig)),
+                        Some(pk) => batch.push((msg, pk, sig)),
                         None => return Err(ThresholdError::InvalidShare(share.signer)),
                     }
                 }
-                if !crate::ed25519::verify_batch(&batch) {
+                if !crate::ed25519::verify_batch_prepared(&batch) {
                     // Attribute blame serially; report the lowest-index
                     // offender.
                     for share in seen.values() {
@@ -440,11 +444,11 @@ impl ThresholdSigner {
                 let mut batch = Vec::with_capacity(sigs.len());
                 for (signer, sig) in cert.signers.iter().zip(sigs) {
                     match self.ed_public.get(*signer as usize) {
-                        Some(pk) => batch.push((msg, *pk, *sig)),
+                        Some(pk) => batch.push((msg, pk, *sig)),
                         None => return false,
                     }
                 }
-                crate::ed25519::verify_batch(&batch)
+                crate::ed25519::verify_batch_prepared(&batch)
             }
             (CertProof::Sim(tag), CertScheme::Simulated) => {
                 let expect = self.sim_cert_tag(msg, &cert.signers);
@@ -462,7 +466,7 @@ mod tests {
     fn cluster(scheme: CertScheme, n: usize, threshold: usize) -> Vec<ThresholdSigner> {
         let keys: Vec<SigningKey> =
             (0..n).map(|i| SigningKey::from_label(format!("replica-{i}").as_bytes())).collect();
-        let publics: Vec<VerifyingKey> = keys.iter().map(|k| k.verifying_key()).collect();
+        let publics: Vec<PreparedKey> = keys.iter().map(SigningKey::prepared_key).collect();
         (0..n)
             .map(|i| {
                 ThresholdSigner::new(

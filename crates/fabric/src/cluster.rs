@@ -390,6 +390,7 @@ impl<H: Hub> FabricCluster<H> {
                     km: km.clone(),
                     id: ReplicaId(i as u32),
                     tuning: cfg.tuning.clone(),
+                    client_window: cfg.client_outstanding,
                     link_auth: link_auth_for(&link_km, i),
                     telemetry: telemetries[i].clone(),
                 }))
@@ -471,6 +472,7 @@ impl<H: Hub> FabricCluster<H> {
                 km: self.km.clone(),
                 id: ReplicaId(i as u32),
                 tuning: self.cfg.tuning.clone(),
+                client_window: self.cfg.client_outstanding,
                 link_auth: link_auth_for(&self.link_km, i),
                 telemetry: self.telemetries[i].clone(),
             },

@@ -96,6 +96,7 @@ impl ReplicaNode {
             km,
             id,
             tuning: cfg.tuning.clone(),
+            client_window: cfg.client_outstanding,
             link_auth,
             telemetry: telemetry.clone(),
         });

@@ -8,16 +8,22 @@
 //! pipeline and the cluster collapses exactly when it is busiest.
 //!
 //! The table gives each replica the classic SMR session discipline
-//! (PBFT §4.1 keeps "the last reply to each client"; PoE inherits it):
+//! (PBFT §4.1 keeps "the last reply to each client"; PoE inherits it),
+//! widened to a client's whole request window: PBFT's rule assumes one
+//! outstanding request, but a client with `k` in flight can lose any of
+//! the `k` replies, and a retry of a lost reply that is not the last
+//! one must still be answered rather than dropped as stale:
 //!
 //! * a duplicate of a request still *in flight* is dropped at the
 //!   batching stage, before signature verification — the reply it is
 //!   waiting for is already on its way;
-//! * a duplicate of the *last replied* request is answered straight
-//!   from a cache of the encoded INFORM frame (a refcount bump, no
-//!   re-encode, no consensus work) — this is what makes the reply
-//!   exactly-once-per-execution rather than once-per-retransmission;
-//! * anything older is stale and dropped.
+//! * a duplicate of one of the last `window` replied requests (the
+//!   cluster's client window, see [`SessionTable::new`]) is answered
+//!   straight from a cache of the encoded INFORM frame (a refcount
+//!   bump, no re-encode, no consensus work) — this is what makes the
+//!   reply exactly-once-per-execution rather than
+//!   once-per-retransmission;
+//! * anything older than the ring is stale and dropped.
 //!
 //! Admission is two-phase on the primary: [`SessionTable::classify`]
 //! decides, then [`SessionTable::note_enqueued`] advances the in-flight
@@ -51,7 +57,7 @@ pub(crate) enum Admit {
     Fresh,
     /// A copy of a request currently in the pipeline: drop it.
     DuplicateInFlight,
-    /// A retry of the last replied request: resend this cached frame.
+    /// A retry of a recently replied request: resend this cached frame.
     ReplyCached(WireBytes),
     /// Below the session's reply watermark (or its cache was evicted):
     /// drop it.
@@ -85,32 +91,45 @@ struct SessionEntry {
     enqueued_at: u64,
     /// Highest request id this replica has replied to.
     last_replied: Option<u64>,
-    /// Encoded reply frame for `last_replied` (until evicted).
-    cached: Option<(u64, WireBytes)>,
+    /// Encoded reply frames of the last `window` replies, in the order
+    /// they were recorded (minus any the byte budget evicted).
+    cached: VecDeque<(u64, WireBytes)>,
+}
+
+impl SessionEntry {
+    fn cached_frame(&self, req_id: u64) -> Option<&WireBytes> {
+        self.cached.iter().find(|(id, _)| *id == req_id).map(|(_, frame)| frame)
+    }
 }
 
 /// One replica's session table, shared (behind a mutex) between the
 /// batching stage (admission) and the egress stage (reply recording).
 pub(crate) struct SessionTable {
     sessions: HashMap<ClientId, SessionEntry>,
-    /// Eviction order of cached frames; entries whose frame was already
-    /// replaced are skipped lazily on pop.
+    /// Eviction order of cached frames; entries whose frame already left
+    /// its session's ring are skipped lazily on pop.
     fifo: VecDeque<(ClientId, u64)>,
     cached_bytes: usize,
     budget_bytes: usize,
+    /// Reply frames kept per session.
+    window: usize,
     grace_ns: u64,
     stats: SessionStats,
 }
 
 impl SessionTable {
     /// A table caching at most `budget_bytes` of encoded reply frames,
-    /// passing duplicates through after `grace` in flight.
-    pub fn new(budget_bytes: usize, grace: Duration) -> SessionTable {
+    /// the last `window` of them per session, passing duplicates through
+    /// after `grace` in flight. `window` is the clients' in-flight
+    /// window: a client whose whole window lost its replies retries all
+    /// of them, and each retry must be served from the cache.
+    pub fn new(budget_bytes: usize, window: usize, grace: Duration) -> SessionTable {
         SessionTable {
             sessions: HashMap::new(),
             fifo: VecDeque::new(),
             cached_bytes: 0,
             budget_bytes,
+            window: window.max(1),
             grace_ns: grace.as_nanos() as u64,
             stats: SessionStats::default(),
         }
@@ -139,11 +158,9 @@ impl SessionTable {
             }
             Some(_) => {}
         }
-        if let Some((cached_id, frame)) = &entry.cached {
-            if *cached_id == req_id {
-                self.stats.replayed_from_cache += 1;
-                return Admit::ReplyCached(frame.clone());
-            }
+        if let Some(frame) = entry.cached_frame(req_id) {
+            self.stats.replayed_from_cache += 1;
+            return Admit::ReplyCached(frame.clone());
         }
         self.stats.stale_dropped += 1;
         Admit::Stale
@@ -160,47 +177,46 @@ impl SessionTable {
     }
 
     /// The non-primary path: serves a cached reply for an exact retry
-    /// of the last replied request, without touching any watermark
+    /// of a recently replied request, without touching any watermark
     /// (relays must keep flowing so the automaton's failure-detection
     /// timers see retransmissions).
     pub fn replay(&mut self, client: ClientId, req_id: u64) -> Option<WireBytes> {
-        let entry = self.sessions.get(&client)?;
-        let (cached_id, frame) = entry.cached.as_ref()?;
-        if *cached_id != req_id {
-            return None;
-        }
+        let frame = self.sessions.get(&client)?.cached_frame(req_id)?.clone();
         self.stats.replayed_from_cache += 1;
-        Some(frame.clone())
+        Some(frame)
     }
 
     /// Records the encoded reply frame for `(client, req_id)` — called
     /// by egress right after the INFORM is encoded. Advances the reply
-    /// watermark and replaces the session's cached frame, then evicts
-    /// oldest frames until the byte budget holds.
+    /// watermark (a late reply is cached without moving it back), pushes
+    /// the frame onto the session's ring, dropping the ring's oldest
+    /// frame beyond `window`, then evicts oldest frames until the byte
+    /// budget holds.
     pub fn record_reply(&mut self, client: ClientId, req_id: u64, frame: &WireBytes) {
         let entry = self.sessions.entry(client).or_default();
-        if entry.last_replied.is_some_and(|r| req_id < r) {
-            return; // Late duplicate of an older execution.
+        if entry.cached_frame(req_id).is_some() {
+            return; // Duplicate of a reply already cached.
         }
-        entry.last_replied = Some(req_id);
-        if let Some((_, old)) = entry.cached.take() {
+        if entry.last_replied.is_none_or(|r| req_id > r) {
+            entry.last_replied = Some(req_id);
+        }
+        entry.cached.push_back((req_id, frame.clone()));
+        self.cached_bytes += frame.len();
+        if entry.cached.len() > self.window {
+            let (_, old) = entry.cached.pop_front().expect("ring is over length");
             self.cached_bytes -= old.len();
         }
-        entry.cached = Some((req_id, frame.clone()));
-        self.cached_bytes += frame.len();
         self.fifo.push_back((client, req_id));
         self.stats.cached_bytes_peak = self.stats.cached_bytes_peak.max(self.cached_bytes);
         while self.cached_bytes > self.budget_bytes {
             let Some((c, id)) = self.fifo.pop_front() else { break };
             let Some(e) = self.sessions.get_mut(&c) else { continue };
-            // Skip lazily if this fifo entry's frame was already
-            // replaced by a newer reply for the same session.
-            if let Some((cached_id, _)) = &e.cached {
-                if *cached_id == id {
-                    let (_, frame) = e.cached.take().expect("checked");
-                    self.cached_bytes -= frame.len();
-                    self.stats.evicted_replies += 1;
-                }
+            // Skip lazily if this fifo entry's frame already left the
+            // session's ring.
+            if let Some(pos) = e.cached.iter().position(|(cached_id, _)| *cached_id == id) {
+                let (_, frame) = e.cached.remove(pos).expect("position is in range");
+                self.cached_bytes -= frame.len();
+                self.stats.evicted_replies += 1;
             }
         }
     }
@@ -224,6 +240,7 @@ mod tests {
     use super::*;
 
     const GRACE: Duration = Duration::from_secs(1);
+    const WINDOW: usize = 4;
     const GRACE_NS: u64 = 1_000_000_000;
 
     fn c(i: u32) -> ClientId {
@@ -245,7 +262,7 @@ mod tests {
 
     #[test]
     fn first_sighting_is_fresh_even_at_req_id_zero() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         assert!(matches!(admit(&mut t, c(0), 0, 10), Admit::Fresh));
         assert!(matches!(admit(&mut t, c(1), 0, 10), Admit::Fresh));
         // And a retransmission of that id 0 is then a duplicate.
@@ -254,7 +271,7 @@ mod tests {
 
     #[test]
     fn duplicate_in_flight_is_dropped_then_passes_after_grace() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         assert!(matches!(admit(&mut t, c(0), 5, 100), Admit::Fresh));
         assert!(matches!(admit(&mut t, c(0), 5, 200), Admit::DuplicateInFlight));
         assert!(matches!(admit(&mut t, c(0), 5, 100 + GRACE_NS + 1), Admit::Fresh));
@@ -266,7 +283,7 @@ mod tests {
 
     #[test]
     fn unverified_classify_does_not_mark_in_flight() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         // A forged request is classified but never noted (its signature
         // failed) — the genuine request must still be Fresh.
         assert!(matches!(t.classify(c(0), 5, 100), Admit::Fresh));
@@ -275,7 +292,7 @@ mod tests {
 
     #[test]
     fn retry_after_reply_is_served_from_cache() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         admit(&mut t, c(0), 7, 0);
         t.record_reply(c(0), 7, &frame(32));
         match admit(&mut t, c(0), 7, 10) {
@@ -289,7 +306,7 @@ mod tests {
 
     #[test]
     fn retry_after_eviction_is_stale_not_reexecuted() {
-        let mut t = SessionTable::new(64, GRACE);
+        let mut t = SessionTable::new(64, WINDOW, GRACE);
         admit(&mut t, c(0), 1, 0);
         t.record_reply(c(0), 1, &frame(48));
         // The second session's reply blows the budget; c0's frame (the
@@ -305,7 +322,7 @@ mod tests {
 
     #[test]
     fn eviction_never_drops_the_watermark() {
-        let mut t = SessionTable::new(16, GRACE);
+        let mut t = SessionTable::new(16, WINDOW, GRACE);
         for id in 1..=5u64 {
             admit(&mut t, c(0), id, id);
             t.record_reply(c(0), id, &frame(32)); // Always over budget.
@@ -317,28 +334,61 @@ mod tests {
 
     #[test]
     fn newer_reply_replaces_the_cached_frame() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1 << 16, WINDOW, GRACE);
         admit(&mut t, c(0), 1, 0);
         t.record_reply(c(0), 1, &frame(100));
-        admit(&mut t, c(0), 2, 1);
-        t.record_reply(c(0), 2, &frame(60));
-        assert_eq!(t.cached_bytes(), 60, "old frame released");
-        assert!(matches!(admit(&mut t, c(0), 1, 2), Admit::Stale));
-        assert!(matches!(admit(&mut t, c(0), 2, 2), Admit::ReplyCached(_)));
+        // The ring fills up; the reply that falls off its end releases
+        // its frame and becomes stale.
+        for id in 2..=WINDOW as u64 + 1 {
+            admit(&mut t, c(0), id, id);
+            t.record_reply(c(0), id, &frame(60));
+        }
+        assert_eq!(t.cached_bytes(), 60 * WINDOW, "old frame released");
+        assert!(matches!(admit(&mut t, c(0), 1, 100), Admit::Stale));
+        assert!(matches!(admit(&mut t, c(0), 2, 100), Admit::ReplyCached(_)));
+        assert!(matches!(admit(&mut t, c(0), WINDOW as u64 + 1, 100), Admit::ReplyCached(_)));
     }
 
     #[test]
     fn out_of_order_reply_does_not_regress_the_watermark() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
+        admit(&mut t, c(0), 9, 0);
         t.record_reply(c(0), 9, &frame(10));
-        t.record_reply(c(0), 4, &frame(10)); // Late, ignored.
+        t.record_reply(c(0), 4, &frame(10)); // Late: cached, watermark kept.
         assert!(t.replay(c(0), 9).is_some());
-        assert!(t.replay(c(0), 4).is_none());
+        assert!(t.replay(c(0), 4).is_some());
+        // Had the watermark moved back to 4, request 9 would look in
+        // flight again and its retry would be swallowed.
+        assert!(matches!(admit(&mut t, c(0), 9, 10), Admit::ReplyCached(_)));
+        // A duplicate reply is not cached twice.
+        t.record_reply(c(0), 9, &frame(10));
+        assert_eq!(t.cached_bytes(), 20);
+    }
+
+    #[test]
+    fn every_lost_reply_in_a_client_window_is_served_from_cache() {
+        let mut t = SessionTable::new(1 << 16, WINDOW, GRACE);
+        // A client with a full window outstanding: every request executes
+        // and is replied to, but the client saw none of the replies.
+        for id in 1..=WINDOW as u64 {
+            admit(&mut t, c(0), id, id);
+        }
+        for id in 1..=WINDOW as u64 {
+            t.record_reply(c(0), id, &frame(32));
+        }
+        // Its retries of every request in the window hit the cache at
+        // the primary and on the relay path; none is re-admitted.
+        for id in 1..=WINDOW as u64 {
+            assert!(matches!(admit(&mut t, c(0), id, 10), Admit::ReplyCached(_)), "req {id}");
+            assert!(t.replay(c(0), id).is_some(), "req {id}");
+        }
+        assert_eq!(t.stats().replayed_from_cache, 2 * WINDOW as u64);
+        assert_eq!(t.stats().stale_dropped, 0);
     }
 
     #[test]
     fn replay_serves_only_the_exact_cached_request() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         assert!(t.replay(c(0), 1).is_none(), "unknown session");
         t.record_reply(c(0), 1, &frame(8));
         assert!(t.replay(c(0), 1).is_some());
@@ -348,7 +398,7 @@ mod tests {
 
     #[test]
     fn stats_count_sessions() {
-        let mut t = SessionTable::new(1024, GRACE);
+        let mut t = SessionTable::new(1024, WINDOW, GRACE);
         admit(&mut t, c(0), 1, 0);
         admit(&mut t, c(1), 1, 0);
         t.record_reply(c(2), 1, &frame(4));

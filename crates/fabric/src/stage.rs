@@ -288,6 +288,8 @@ pub(crate) struct ReplicaSpawn<H: Hub> {
     pub km: Arc<KeyMaterial>,
     pub id: ReplicaId,
     pub tuning: FabricTuning,
+    /// Clients' in-flight window: reply frames cached per session.
+    pub client_window: usize,
     /// Per-peer tagging of replica→replica frames (socket substrates);
     /// [`LinkAuth::disabled`] on trusted in-process hubs.
     pub link_auth: LinkAuth,
@@ -342,8 +344,17 @@ impl ReplicaHandle {
     /// durable state ([`PoeReplica::into_restarted`]) and re-registering
     /// on the hub replaces the dead endpoint, so traffic flows again.
     pub fn spawn_with<H: Hub>(spec: ReplicaSpawn<H>, replica: Box<PoeReplica>) -> ReplicaHandle {
-        let ReplicaSpawn { shared, cluster, support: _, km, id, tuning, link_auth, telemetry } =
-            spec;
+        let ReplicaSpawn {
+            shared,
+            cluster,
+            support: _,
+            km,
+            id,
+            tuning,
+            client_window,
+            link_auth,
+            telemetry,
+        } = spec;
         let hub_rx = shared.hub.register(NodeId::Replica(id));
         let (cons_tx, cons_rx) = unbounded::<ConsensusJob>();
         let cons_tx = Gauged { tx: cons_tx, gauge: DepthGauge::new() };
@@ -353,8 +364,11 @@ impl ReplicaHandle {
         let (recycle_tx, recycle_rx) = unbounded::<Arc<Batch>>();
         let probe = ReplicaProbe::new(id, cluster.n);
         let halt = Arc::new(AtomicBool::new(false));
-        let session =
-            Arc::new(Mutex::new(SessionTable::new(tuning.reply_cache_bytes, tuning.session_grace)));
+        let session = Arc::new(Mutex::new(SessionTable::new(
+            tuning.reply_cache_bytes,
+            client_window,
+            tuning.session_grace,
+        )));
         telemetry.attach_sources(TelemetrySources {
             probe: probe.clone(),
             batch_depth: batch_tx.gauge(),
